@@ -1,11 +1,13 @@
 //! `bench_snapshot` — counter-first performance snapshot of the engine.
 //!
 //! Runs a fixed scenario per experiment suite (E1, E4, E5, E9, E10) under
-//! two engine configurations — the order-naïve reference
-//! ([`EngineOptions::naive`] + textual body order) and the optimized
-//! engine pinned to one thread ([`EngineOptions::sequential`] + greedy
-//! reordering) — and records, per scenario and configuration, the best-of-samples
-//! wall-clock ns/iter plus the `qc-obs` work-counter totals of one run.
+//! two engine configurations — the order-naïve evaluation reference
+//! ([`EngineOptions::naive`]: tuple-at-a-time, textual body order, no magic
+//! sets) and the default engine ([`EngineOptions::default`]) — and records,
+//! per scenario and configuration, the best-of-samples wall-clock ns/iter
+//! plus the `qc-obs` work-counter totals of one run. The two arms differ
+//! only where a scenario runs a datalog fixpoint; the containment-mapping
+//! search is the same single kernel in both.
 //!
 //! ```sh
 //! # Regenerate the committed snapshot.
@@ -18,8 +20,9 @@
 //! # demand that the gate trips.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- \
 //!     --check BENCH_PR2.json --inject-slowdown 10
-//! # Adaptive-tier self-test: force the tier threshold low and high and
-//! # assert the EngineTierDirect/EngineTierOptimized routing counters.
+//! # Eval-tier self-test: the recursive scenarios must run on the RA
+//! # engine under the default configuration (and on the tuple kernel under
+//! # the baseline), and magic sets must prune on seeded reachability.
 //! cargo run --release -p qc-bench --bin bench_snapshot -- --tier-self-test
 //! ```
 //!
@@ -29,12 +32,12 @@
 //! regressing behind the naive oracle on wall clock fails CI even if every
 //! counter is fine.
 //!
-//! Work counters are deterministic for a sequential engine, which is what
-//! makes the check mode meaningful on shared CI hardware: a >2× counter
-//! increase is an algorithmic regression, not scheduler noise. The
-//! wall-clock gate is deliberately looser (default 4× on a
-//! min-of-[`TIMED_ITERS`]-samples, with a [`TIME_NOISE_FLOOR_NS`] floor) so it
-//! only trips on order-of-magnitude slowdowns — the class of regression a
+//! Work counters are deterministic (every decision runs on one thread),
+//! which is what makes the check mode meaningful on shared CI hardware:
+//! a >2× counter increase is an algorithmic regression, not scheduler
+//! noise. The wall-clock gate is deliberately looser (default 4× on a
+//! min-of-[`TIMED_ITERS`]-samples, with a [`TIME_NOISE_FLOOR_NS`] floor) so
+//! it only trips on order-of-magnitude slowdowns — the class of regression a
 //! counter gate cannot see, such as an accidentally quadratic allocation
 //! pattern with unchanged work counts.
 
@@ -43,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
-use qc_containment::{cq_contained, engine, memo, EngineOptions};
+use qc_containment::{cq_contained, engine, EngineOptions};
 use qc_datalog::eval::{evaluate, EvalOptions, Strategy};
 use qc_datalog::{parse_program, parse_query, ConjunctiveQuery, Symbol, Ucq};
 use qc_mediator::minicon::minicon_rewritings;
@@ -121,9 +124,8 @@ fn configs() -> [Cfg; 2] {
         },
         Cfg {
             name: "optimized",
-            // Pinned to one thread: counter totals stay deterministic.
-            engine: EngineOptions::sequential(),
-            eval: EngineOptions::sequential().eval_options(),
+            engine: EngineOptions::default(),
+            eval: EngineOptions::default().eval_options(),
         },
     ]
 }
@@ -193,10 +195,7 @@ fn scenarios() -> Vec<Scenario> {
             cq_contained(&cb, &ca);
         }),
     });
-    // Small instance: under the adaptive default this routes to the
-    // direct tier (4 × 2 subgoals is below the threshold), so the
-    // snapshot records that skipping the bucketed machinery keeps the
-    // optimized engine at naive-oracle speed on tiny inputs.
+    // Small instance: the per-search setup cost dominates here.
     let (qa4, _) = qc_bench::chain_query(4);
     let (qb4, _) = qc_bench::chain_query(2);
     let ca4 = ConjunctiveQuery::from_rule(&qa4.rules()[0]);
@@ -219,8 +218,8 @@ fn scenarios() -> Vec<Scenario> {
             minicon_rewritings(&q, &vs);
         }),
     });
-    // Single-view MiniCon: the smallest rewriting instance — dominated by
-    // setup cost, which is exactly what adaptive tiering protects.
+    // Single-view MiniCon: the smallest rewriting instance, dominated by
+    // setup cost.
     let mut rng = StdRng::seed_from_u64(9);
     let q1v = random_query(Shape::Chain, 2, 2, &mut rng);
     let v1 = random_views(1, 2, &mut rng);
@@ -297,11 +296,13 @@ fn scenarios() -> Vec<Scenario> {
 
     // Serve — queue-throughput counters: Example 1 pairs through the
     // admission layer. Each pair starts with a budget of 1 work unit and
-    // doubles it until the verdict is definite, carrying checkpoints
-    // between rounds, so the serve_* counters (completed, resumed, tier
-    // churn) enter the committed snapshot with deterministic values. The
-    // service's own counter bank is folded into the installed recorder
-    // at the end.
+    // grows it by a quarter (plus one) until the verdict is definite,
+    // carrying checkpoints between rounds, so the serve_* counters
+    // (completed, resumed, tier churn) enter the committed snapshot with
+    // deterministic values. The climb is gentle because the budget window
+    // in which a run proves one plan disjunct but not both is narrow:
+    // doubling steps over it and records no resume at all. The service's
+    // own counter bank is folded into the installed recorder at the end.
     let (views, queries) = qc_bench::example1();
     out.push(Scenario {
         name: "serve/example1_admission_resume",
@@ -329,7 +330,7 @@ fn scenarios() -> Vec<Scenario> {
                         match resp.verdict {
                             qc_mediator::relative::Verdict::Unknown(_) => {
                                 req.checkpoint = resp.checkpoint;
-                                budget = budget.saturating_mul(2);
+                                budget += budget / 4 + 1;
                             }
                             _ => break,
                         }
@@ -350,7 +351,6 @@ fn scenarios() -> Vec<Scenario> {
 /// Runs the scenario once under a fresh recorder and returns the nonzero
 /// counter totals, in `Counter::ALL` order.
 fn counters_of(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
-    memo::clear();
     let rec = Arc::new(qc_obs::PipelineRecorder::new());
     {
         let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
@@ -374,12 +374,11 @@ fn counters_of_guarded(s: &Scenario, cfg: &Cfg) -> Vec<(String, u64)> {
     qc_guard::with_guard(&guard, || counters_of(s, cfg))
 }
 
-/// One timed sample: `reps` cold runs (memo cleared before every run)
-/// under `cfg`, amortized to whole nanoseconds per run.
+/// One timed sample: `reps` runs under `cfg`, amortized to whole
+/// nanoseconds per run.
 fn sample_ns(s: &Scenario, cfg: &Cfg, reps: u64) -> u64 {
     let t0 = Instant::now();
     for _ in 0..reps {
-        memo::clear();
         engine::with_options(cfg.engine, || (s.run)(cfg));
     }
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / reps.max(1)
@@ -634,82 +633,14 @@ fn check(path: &str, time_factor: u64, inject_slowdown: u64) -> ExitCode {
     }
 }
 
-/// `--tier-self-test`: proves the adaptive tier gate actually routes.
-/// Forces the homomorphism tier threshold to its extremes and asserts the
-/// `EngineTierDirect` / `EngineTierOptimized` counters, then checks the
-/// default threshold splits a small and a large instance across tiers.
+/// `--tier-self-test`: proves the datalog eval tier gate actually routes.
+/// The recursive bench scenarios must run on the RA engine under the
+/// optimized configuration and on the tuple kernel under the baseline, and
+/// magic sets must prune on the seeded reachability scenario.
 fn tier_self_test() -> ExitCode {
-    let small = parse_query("q(X) :- e(X, Y).").unwrap();
-    let small_to = parse_query("q(A) :- e(A, B).").unwrap();
-    // 72 × 64 subgoals: past the measured default crossover
-    // (`tier_hom_product`), so defaults route it to the bucketed kernel.
-    // Directed chains with pinned endpoints resolve in linear time, so the
-    // instance is big without being slow.
-    let (big_p, _) = qc_bench::chain_query(72);
-    let (big_p2, _) = qc_bench::chain_query(64);
-    let big = ConjunctiveQuery::from_rule(&big_p.rules()[0]);
-    let big_to = ConjunctiveQuery::from_rule(&big_p2.rules()[0]);
-    let tiers = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
-            let _g = qc_obs::install(rec.clone() as Arc<dyn qc_obs::Recorder>);
-            cq_contained(from, to);
-        });
-        (
-            rec.counters().get(qc_obs::Counter::EngineTierDirect),
-            rec.counters().get(qc_obs::Counter::EngineTierOptimized),
-        )
-    };
-    let force_low = EngineOptions {
-        tier_hom_product: 0,
-        ..EngineOptions::sequential()
-    };
-    let force_high = EngineOptions {
-        tier_hom_product: usize::MAX,
-        ..EngineOptions::sequential()
-    };
     let mut failures = 0usize;
-    let mut expect = |what: &str, got: (u64, u64), want_direct: bool| {
-        let ok = if want_direct {
-            got.0 > 0 && got.1 == 0
-        } else {
-            got.0 == 0 && got.1 > 0
-        };
-        if ok {
-            eprintln!("ok {what}: direct={} optimized={}", got.0, got.1);
-        } else {
-            eprintln!(
-                "TIER ROUTING WRONG {what}: direct={} optimized={}",
-                got.0, got.1
-            );
-            failures += 1;
-        }
-    };
-    expect(
-        "forced-low threshold routes optimized",
-        tiers(force_low, &small, &small_to),
-        false,
-    );
-    expect(
-        "forced-high threshold routes direct",
-        tiers(force_high, &big, &big_to),
-        true,
-    );
-    expect(
-        "default threshold routes small instances direct",
-        tiers(EngineOptions::sequential(), &small, &small_to),
-        true,
-    );
-    expect(
-        "default threshold routes large instances optimized",
-        tiers(EngineOptions::sequential(), &big, &big_to),
-        false,
-    );
-
-    // RA eval tier: the recursive bench scenarios must actually exercise
-    // the compiled engine under the optimized configuration (and the
-    // tuple kernel under the baseline) — otherwise the committed RA-vs-
-    // tuple comparison silently measures the same engine twice.
+    // Otherwise the committed RA-vs-tuple comparison silently measures
+    // the same engine twice.
     let eval_tiers = |cfg: &Cfg, scenario: &str| {
         let s = scenarios()
             .into_iter()
@@ -759,7 +690,7 @@ fn tier_self_test() -> ExitCode {
         eprintln!("{failures} tier-routing failure(s)");
         ExitCode::from(1)
     } else {
-        eprintln!("adaptive tier routing verified");
+        eprintln!("eval tier routing verified");
         ExitCode::SUCCESS
     }
 }

@@ -305,7 +305,7 @@ fn check_kill_restart(trial: usize, case: &Case, dir: &Path, rng: &mut StdRng, t
             }
         }
         // Sometimes die *inside* an append, leaving a torn tail. The
-        // engine is deterministic, so a fresh core (cold memo) replaying
+        // engine is deterministic, so a fresh core replaying
         // the same budget climb — with explicit empty checkpoints to
         // disable the store's auto-resume, which would skip the proven
         // disjuncts and dodge the save — re-traces the run exactly, and

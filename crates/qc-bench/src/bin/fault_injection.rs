@@ -11,14 +11,10 @@
 //! cargo run --release -p qc-bench --bin fault_injection -- --rounds 8 --seed 11
 //! ```
 //!
-//! Two recovery layers are exercised:
-//!
-//! * worker-side panics land inside `engine::parallel_map`'s per-item
-//!   `catch_unwind` and heal via the sequential retry — the trial sees the
-//!   oracle answer with no harness involvement;
-//! * panics that unwind all the way to the request boundary are retried
-//!   once by the harness (an injected fault fires only once), modeling a
-//!   service-level retry; a second escape is counted as a crash.
+//! The decision procedures run sequentially on the calling thread, so an
+//! injected panic unwinds straight to the request boundary. There the
+//! harness retries the request once (an injected fault fires only once),
+//! modeling a service-level retry; a second escape is counted as a crash.
 //!
 //! Each case also runs once under `Guard::unlimited()` and must reproduce
 //! the unguarded answer exactly (limits that are never hit change nothing).
@@ -40,8 +36,8 @@ use rand::{Rng, SeedableRng};
 
 /// How one guarded trial ended.
 enum Trial<T> {
-    /// The procedure finished with an answer (fault not reached, healed by
-    /// worker isolation, or healed by the boundary retry).
+    /// The procedure finished with an answer (fault not reached, or healed
+    /// by the boundary retry).
     Answer(T),
     /// A resource limit stopped the procedure with provenance.
     Stopped,
@@ -207,7 +203,7 @@ fn main() -> ExitCode {
         sweep(
             "verdict",
             &mut verdicts,
-            &[stage::HOM_SEARCH, stage::MEMO, stage::FN_ELIM],
+            &[stage::HOM_SEARCH, stage::FN_ELIM],
             &oracle,
             || match relatively_contained_verdict(&p1, &q, &p2, &q, &views) {
                 Ok(Verdict::Unknown(_)) => Err(ProcErr::Resource),

@@ -207,12 +207,7 @@ fn check_ladder(trial: usize, case: &Case, tally: &mut Tally) {
 /// (Panic faults go through the threaded service, which supervises them.)
 fn check_guard_faults(trial: usize, case: &Case, rng: &mut StdRng, tally: &mut Tally) {
     let core = ServeCore::new(case.views.clone(), ServeConfig::default());
-    let stages = [
-        stage::HOM_SEARCH,
-        stage::MEMO,
-        stage::MINICON,
-        stage::FN_ELIM,
-    ];
+    let stages = [stage::HOM_SEARCH, stage::MINICON, stage::FN_ELIM];
     for kind in [FaultKind::Budget, FaultKind::Cancel] {
         let mut req = case.req.clone();
         req.fault = Some(FaultPlan {

@@ -7,7 +7,6 @@
 use qc_datalog::{ConjunctiveQuery, Ucq};
 
 use crate::comparisons;
-use crate::engine;
 use crate::homomorphism::containment_mapping;
 
 /// Decides `q1 ⊆ q2`.
@@ -34,22 +33,12 @@ pub fn cq_equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// comparison-free disjunct this reduces to containment in *some* disjunct
 /// of `u2` (Sagiv–Yannakakis \[35\]); with comparisons the whole union on
 /// the right must be considered per linearization, which
-/// [`comparisons::cq_contained_in_ucq`] does.
-///
-/// The per-disjunct checks are independent; with
-/// [`engine::EngineOptions::parallelism`] `> 1` they fan out across scoped
-/// worker threads (the verdict is the conjunction either way, so the
-/// result is identical to the sequential early-exit path).
+/// [`comparisons::cq_contained_in_ucq`] does. The first disjunct that is
+/// not contained decides the answer.
 pub fn ucq_contained(u1: &Ucq, u2: &Ucq) -> bool {
-    if engine::current().parallelism > 1 && u1.disjuncts.len() > 1 {
-        engine::parallel_map(&u1.disjuncts, |d| comparisons::cq_contained_in_ucq(d, u2))
-            .into_iter()
-            .all(|v| v)
-    } else {
-        u1.disjuncts
-            .iter()
-            .all(|d| comparisons::cq_contained_in_ucq(d, u2))
-    }
+    u1.disjuncts
+        .iter()
+        .all(|d| comparisons::cq_contained_in_ucq(d, u2))
 }
 
 /// Decides `u1 ≡ u2`.

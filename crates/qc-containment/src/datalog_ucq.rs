@@ -37,8 +37,7 @@ use qc_datalog::{
     unify_terms_with, Atom, Const, Program, Rule, Subst, Symbol, Term, Ucq, Var, VarGen,
 };
 
-use crate::engine;
-use crate::memo::cq_contained_memo;
+use crate::cq::cq_contained;
 
 /// Errors from [`datalog_contained_in_ucq`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -770,42 +769,22 @@ pub fn datalog_contained_in_ucq(
     // nothing to the union (`Q ≡ Q ∖ {dᵢ}` when `dᵢ ⊆ dⱼ`, `j ≠ i`), yet
     // every resident disjunct enlarges the coverage-type lattice and every
     // placement loop in `covers`/`compose`. Drop subsumed disjuncts up
-    // front through the canonical containment memo; among equivalent
-    // disjuncts the first is kept, so at least one survivor remains per
-    // class and the verdict is unchanged. Skipped entirely in the naïve
-    // configuration (memo disabled) to preserve the reference path.
-    let active: Vec<&qc_datalog::ConjunctiveQuery> =
-        if engine::current().memo_capacity > 0 && q.disjuncts.len() > 1 {
-            let n = q.disjuncts.len();
-            let pairs: Vec<(usize, usize)> = (0..n)
-                .flat_map(|i| (0..n).map(move |j| (i, j)))
-                .filter(|&(i, j)| i != j)
-                .collect();
-            let verdicts: Vec<bool> = if engine::current().parallelism > 1 {
-                engine::parallel_map(&pairs, |&(i, j)| {
-                    cq_contained_memo(&q.disjuncts[i], &q.disjuncts[j])
-                })
-            } else {
-                pairs
-                    .iter()
-                    .map(|&(i, j)| cq_contained_memo(&q.disjuncts[i], &q.disjuncts[j]))
-                    .collect()
-            };
-            let mut contained = vec![vec![false; n]; n];
-            for (&(i, j), v) in pairs.iter().zip(verdicts) {
-                contained[i][j] = v;
-            }
-            q.disjuncts
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| {
-                    !(0..n).any(|j| j != i && contained[i][j] && !(contained[j][i] && j > i))
-                })
-                .map(|(_, d)| d)
+    // front; among equivalent disjuncts the first is kept, so at least one
+    // survivor remains per class and the verdict is unchanged.
+    let n = q.disjuncts.len();
+    let contained: Vec<Vec<bool>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| i != j && cq_contained(&q.disjuncts[i], &q.disjuncts[j]))
                 .collect()
-        } else {
-            q.disjuncts.iter().collect()
-        };
+        })
+        .collect();
+    let active = q
+        .disjuncts
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !(0..n).any(|j| contained[i][j] && !(contained[j][i] && j > i)))
+        .map(|(_, d)| d);
 
     // Preprocess disjuncts.
     let mut disjuncts = Vec::new();

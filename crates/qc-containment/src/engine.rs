@@ -1,40 +1,20 @@
-//! Engine-wide tuning knobs for the containment kernels.
+//! Engine-wide tuning knobs for datalog evaluation inside the containment
+//! procedures.
 //!
 //! The containment procedures ([`crate::cq`], [`crate::homomorphism`],
 //! [`crate::datalog_ucq`]) keep their small, paper-shaped signatures; the
-//! *how* — bucketed vs linear homomorphism search, memoization, and the
-//! parallel fan-out width — is configured out-of-band through a scoped,
+//! fixpoint engine that canonical-database evaluation, certain answers and
+//! datalog containment run on is configured out-of-band through a scoped,
 //! thread-local [`EngineOptions`], mirroring the `qc-obs` recorder pattern.
 //!
-//! The default configuration is the optimized engine. [`EngineOptions::naive`]
-//! reproduces the order-naïve reference path bit-for-bit (sequential,
-//! linear-scan homomorphism search, no memo) — the ablation baseline the
-//! differential tests and `bench_snapshot` compare against.
+//! The containment-mapping search itself has a single kernel and no knobs.
+//! [`EngineOptions::naive`] pins evaluation to the order-naïve reference:
+//! the tuple-at-a-time kernel in textual join order, without magic sets.
 
 use std::cell::Cell;
 
 pub use qc_datalog::eval::EvalEngine;
 use qc_datalog::eval::EvalOptions;
-
-/// Default bound on the number of resident verdicts in the canonical
-/// containment memo (see [`crate::memo`]).
-pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
-
-/// Default [`EngineOptions::tier_hom_product`]: homomorphism instances
-/// whose `|from subgoals| × |to subgoals|` is at or below this run the
-/// direct linear-scan kernel — bucket construction and goal ordering cost
-/// more than they save on such instances.
-pub const DEFAULT_TIER_HOM_PRODUCT: usize = 4096;
-
-/// Default [`EngineOptions::tier_memo_size`]: containment questions whose
-/// combined subgoal count is below this bypass the canonical memo —
-/// canonicalizing and hashing the key costs more than re-deciding.
-pub const DEFAULT_TIER_MEMO_SIZE: usize = 16;
-
-/// Default [`EngineOptions::tier_parallel_min`]: batches smaller than this
-/// stay on the calling thread — spawning scoped workers costs more than
-/// the items.
-pub const DEFAULT_TIER_PARALLEL_MIN: usize = 8;
 
 /// Default [`EngineOptions::tier_ra_min_tuples`]: non-recursive fixpoints
 /// over fewer EDB tuples than this stay on the tuple-at-a-time kernel —
@@ -43,34 +23,9 @@ pub const DEFAULT_TIER_PARALLEL_MIN: usize = 8;
 /// route to RA regardless of size.
 pub const DEFAULT_TIER_RA_MIN_TUPLES: usize = 256;
 
-/// Tuning knobs for the containment engine.
+/// Tuning knobs for the datalog evaluation the containment engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Worker threads for the embarrassingly parallel outer loops
-    /// (UCQ-disjunct containment checks, per-candidate rewriting checks).
-    /// `1` keeps everything on the calling thread — today's deterministic
-    /// sequential path.
-    pub parallelism: usize,
-    /// Predicate-bucketed, constrained-first homomorphism search with the
-    /// cheap pre-filter. `false` falls back to the linear-scan search.
-    pub hom_buckets: bool,
-    /// Capacity of the canonical containment memo; `0` disables it.
-    pub memo_capacity: usize,
-    /// Adaptive tiering: size-estimate each instance and skip the
-    /// optimized machinery (bucketing, memoization, parallel fan-out) when
-    /// the instance is too small to amortize its setup cost. `false` runs
-    /// the configured machinery unconditionally (the pre-tiering
-    /// behavior); [`EngineOptions::naive`] never has machinery to skip.
-    pub adaptive: bool,
-    /// Adaptive threshold: route the homomorphism search to the direct
-    /// kernel when `|from subgoals| × |to subgoals|` is at or below this.
-    pub tier_hom_product: usize,
-    /// Adaptive threshold: bypass the containment memo when the combined
-    /// subgoal count of the two queries is below this.
-    pub tier_memo_size: usize,
-    /// Adaptive threshold: keep [`parallel_map`] batches smaller than this
-    /// on the calling thread.
-    pub tier_parallel_min: usize,
     /// Datalog fixpoint engine for canonical-database evaluation, certain
     /// answers, and datalog containment: the compiled relational-algebra
     /// tier, the tuple-at-a-time kernel, or adaptive routing between them
@@ -82,63 +37,33 @@ pub struct EngineOptions {
     /// Adaptive threshold: non-recursive fixpoints over fewer EDB tuples
     /// than this stay on the tuple-at-a-time kernel.
     pub tier_ra_min_tuples: usize,
+    /// Greedy most-bound-first reordering of rule bodies in the
+    /// tuple-at-a-time evaluator (`EvalOptions::reorder`). `false` joins in
+    /// textual order.
+    pub eval_reorder: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
         EngineOptions {
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            hom_buckets: true,
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
-            adaptive: true,
-            tier_hom_product: DEFAULT_TIER_HOM_PRODUCT,
-            tier_memo_size: DEFAULT_TIER_MEMO_SIZE,
-            tier_parallel_min: DEFAULT_TIER_PARALLEL_MIN,
             eval_engine: EvalEngine::Adaptive,
             eval_magic_sets: true,
             tier_ra_min_tuples: DEFAULT_TIER_RA_MIN_TUPLES,
+            eval_reorder: true,
         }
     }
 }
 
 impl EngineOptions {
-    /// The order-naïve reference configuration: sequential, linear-scan
-    /// homomorphism search, no memo, no tiering, tuple-at-a-time fixpoints.
+    /// The order-naïve evaluation reference: tuple-at-a-time fixpoints in
+    /// textual join order, no magic sets.
     pub fn naive() -> EngineOptions {
         EngineOptions {
-            parallelism: 1,
-            hom_buckets: false,
-            memo_capacity: 0,
-            adaptive: false,
-            tier_hom_product: 0,
-            tier_memo_size: 0,
-            tier_parallel_min: 0,
             eval_engine: EvalEngine::Tuple,
             eval_magic_sets: false,
             tier_ra_min_tuples: 0,
+            eval_reorder: false,
         }
-    }
-
-    /// The optimized engine, pinned to one thread (deterministic).
-    pub fn sequential() -> EngineOptions {
-        EngineOptions {
-            parallelism: 1,
-            ..EngineOptions::default()
-        }
-    }
-
-    /// This configuration with the given parallelism.
-    pub fn with_parallelism(self, parallelism: usize) -> EngineOptions {
-        EngineOptions {
-            parallelism: parallelism.max(1),
-            ..self
-        }
-    }
-
-    /// This configuration with adaptive tiering forced on or off (the
-    /// optimized machinery runs unconditionally when off).
-    pub fn with_adaptive(self, adaptive: bool) -> EngineOptions {
-        EngineOptions { adaptive, ..self }
     }
 
     /// This configuration with the given datalog fixpoint engine.
@@ -150,16 +75,14 @@ impl EngineOptions {
     }
 
     /// The [`EvalOptions`] this engine configuration implies: the fixpoint
-    /// tier, magic sets, and the RA routing threshold come from the engine
-    /// knobs; everything else keeps the evaluator defaults (except the
-    /// naïve configuration, which also disables the evaluator's dynamic
-    /// join reordering to stay the order-naïve reference).
+    /// tier, magic sets, the RA routing threshold and join reordering come
+    /// from the engine knobs; everything else keeps the evaluator defaults.
     pub fn eval_options(&self) -> EvalOptions {
         EvalOptions {
             engine: self.eval_engine,
             magic_sets: self.eval_magic_sets,
             tier_ra_min_tuples: self.tier_ra_min_tuples,
-            reorder: self.hom_buckets,
+            reorder: self.eval_reorder,
             ..EvalOptions::default()
         }
     }
@@ -191,250 +114,37 @@ pub fn with_options<R>(opts: EngineOptions, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Maps `f` over `items`, fanning out across scoped worker threads when
-/// [`EngineOptions::parallelism`] allows (and the batch is big enough to
-/// pay for it). Results come back in input order regardless of scheduling.
-///
-/// * `parallelism == 1` (or a single-item batch) runs on the calling
-///   thread with **zero** behavioral difference from a plain `map` — the
-///   deterministic reference path.
-/// * Workers inherit the parent's [`EngineOptions`] pinned to
-///   `parallelism = 1` (no nested fan-out) and, because `qc-obs` recorders
-///   are thread-local, each installs a private
-///   [`qc_obs::PipelineRecorder`]; after the scope joins, worker counter
-///   totals are merged into the parent's recorder in worker order, so
-///   aggregate counters are deterministic for a fixed parallelism.
-///   (Worker span trees are not reparented — only counters merge.)
-/// * Workers re-install the parent's [`qc_guard::Guard`] (guards are
-///   thread-local but share their budget/deadline state), so a limit set
-///   on the caller governs the whole fan-out.
-/// * A panic inside `f` on a worker is isolated to that item: the slot is
-///   left empty and the item is retried sequentially on the calling thread
-///   after the scope joins. Transient faults (including injected ones)
-///   heal; a persistent panic — and any [`qc_guard::trip`] unwind —
-///   surfaces on the calling thread, where `qc_guard::guarded` or the
-///   caller's panic handling can see it.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let opts = current();
-    let workers = opts.parallelism.max(1).min(items.len());
-    // Adaptive tier gate: a scoped-thread fan-out costs tens of
-    // microseconds before any item runs; tiny batches never win it back.
-    if workers <= 1 || (opts.adaptive && items.len() < opts.tier_parallel_min) {
-        return items.iter().map(f).collect();
-    }
-    let worker_opts = opts.with_parallelism(1);
-    let parent_active = qc_obs::is_active();
-    let parent_guard = qc_guard::current();
-    // Contiguous chunking: ceil(len / workers) keeps chunk assignment a
-    // pure function of (len, parallelism).
-    let chunk = items.len().div_ceil(workers);
-    let mut recorders: Vec<std::sync::Arc<qc_obs::PipelineRecorder>> = Vec::new();
-    let mut results: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (slice, out) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
-            recorders.push(rec.clone());
-            let f = &f;
-            let guard = parent_guard.clone();
-            handles.push(scope.spawn(move || {
-                let _install = parent_active.then(|| qc_obs::install(rec));
-                let mut body = || {
-                    with_options(worker_opts, || {
-                        for (t, slot) in slice.iter().zip(out.iter_mut()) {
-                            // Panic isolation: a poisoned item leaves its
-                            // slot empty for the sequential retry below.
-                            if let Ok(v) =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(t)))
-                            {
-                                *slot = Some(v);
-                            }
-                        }
-                    })
-                };
-                match guard {
-                    Some(g) => qc_guard::with_guard(&g, body),
-                    None => body(),
-                }
-            }));
-        }
-        for h in handles {
-            // A panic outside the per-item isolation (recorder install,
-            // scope plumbing) is re-raised on the caller, not swallowed.
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    if parent_active {
-        // Merge worker counters into the parent recorder, worker order.
-        for rec in &recorders {
-            let snapshot = rec.counters().snapshot();
-            for c in qc_obs::Counter::ALL {
-                let n = snapshot[c as usize];
-                if n != 0 {
-                    qc_obs::count(c, n);
-                }
-            }
-        }
-    }
-    results
-        .into_iter()
-        .zip(items)
-        .map(|(r, t)| match r {
-            Some(v) => v,
-            // Sequential retry of the items whose worker run panicked.
-            None => f(t),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_optimized() {
+    fn defaults_and_naive_reference() {
         let d = EngineOptions::default();
-        assert!(d.hom_buckets);
-        assert!(d.parallelism >= 1);
-        assert_eq!(d.memo_capacity, DEFAULT_MEMO_CAPACITY);
-        assert!(d.adaptive);
-        assert_eq!(d.tier_hom_product, DEFAULT_TIER_HOM_PRODUCT);
-        assert_eq!(d.tier_memo_size, DEFAULT_TIER_MEMO_SIZE);
-        assert_eq!(d.tier_parallel_min, DEFAULT_TIER_PARALLEL_MIN);
         assert_eq!(d.eval_engine, EvalEngine::Adaptive);
         assert!(d.eval_magic_sets);
         assert_eq!(d.tier_ra_min_tuples, DEFAULT_TIER_RA_MIN_TUPLES);
+        assert!(d.eval_options().reorder);
         let n = EngineOptions::naive();
-        assert!(!n.hom_buckets);
-        assert_eq!(n.parallelism, 1);
-        assert_eq!(n.memo_capacity, 0);
-        assert!(!n.adaptive);
         assert_eq!(n.eval_engine, EvalEngine::Tuple);
         assert!(!n.eval_options().reorder);
         assert!(!n.eval_options().magic_sets);
         assert_eq!(
-            EngineOptions::default().eval_options().engine,
-            EvalEngine::Adaptive
-        );
-        assert_eq!(
-            EngineOptions::sequential()
+            EngineOptions::default()
                 .with_eval_engine(EvalEngine::Ra)
                 .eval_options()
                 .engine,
             EvalEngine::Ra
         );
-        assert_eq!(EngineOptions::sequential().parallelism, 1);
-        assert_eq!(n.with_parallelism(0).parallelism, 1);
-        assert!(!EngineOptions::sequential().with_adaptive(false).adaptive);
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order_and_merges_counters() {
-        let items: Vec<u64> = (0..23).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        // Sequential path (parallelism = 1) is a plain map.
-        let seq = with_options(EngineOptions::sequential(), || {
-            parallel_map(&items, |x| x * x)
-        });
-        assert_eq!(seq, expect);
-        // Fanned out: same results, in input order, and worker-side counter
-        // increments merged back into the parent recorder.
-        let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
-        let par = with_options(EngineOptions::sequential().with_parallelism(4), || {
-            let _g = qc_obs::install(rec.clone());
-            parallel_map(&items, |x| {
-                qc_obs::count(qc_obs::Counter::MemoHits, 1);
-                x * x
-            })
-        });
-        assert_eq!(par, expect);
-        assert_eq!(
-            rec.counters().get(qc_obs::Counter::MemoHits),
-            items.len() as u64
-        );
-        // Workers run with parallelism pinned to 1 (no nested fan-out).
-        // Tiering off: a 2-item batch would otherwise stay on the caller.
-        let nested_opts = EngineOptions::sequential()
-            .with_parallelism(2)
-            .with_adaptive(false);
-        let nested = with_options(nested_opts, || {
-            parallel_map(&[0u8, 1], |_| current().parallelism)
-        });
-        assert_eq!(nested, vec![1, 1]);
-    }
-
-    #[test]
-    fn adaptive_tier_keeps_small_batches_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        // Below the threshold: the closure observes the caller's thread.
-        let small: Vec<bool> =
-            with_options(EngineOptions::sequential().with_parallelism(4), || {
-                parallel_map(&[1u8, 2], |_| std::thread::current().id() == caller)
-            });
-        assert_eq!(small, vec![true, true]);
-        // Same batch with tiering off: it fans out to workers.
-        let forced: Vec<bool> = with_options(
-            EngineOptions::sequential()
-                .with_parallelism(4)
-                .with_adaptive(false),
-            || parallel_map(&[1u8, 2], |_| std::thread::current().id() == caller),
-        );
-        assert_eq!(forced, vec![false, false]);
-    }
-
-    #[test]
-    fn parallel_map_heals_a_transient_worker_panic() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let attempts = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..8).collect();
-        let out = with_options(EngineOptions::sequential().with_parallelism(4), || {
-            parallel_map(&items, |&x| {
-                if x == 3 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient worker fault");
-                }
-                x + 1
-            })
-        });
-        let expect: Vec<u64> = (1..=8).collect();
-        assert_eq!(out, expect);
-        // The poisoned item was attempted twice: once on the worker, once
-        // on the sequential retry path.
-        assert_eq!(attempts.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn parallel_map_workers_share_the_parent_guard() {
-        let guard = qc_guard::Guard::unlimited().with_budget(10);
-        let items: Vec<u64> = (0..64).collect();
-        let res = qc_guard::with_guard(&guard, || {
-            qc_guard::guarded(|| {
-                with_options(EngineOptions::sequential().with_parallelism(4), || {
-                    parallel_map(&items, |&x| {
-                        qc_guard::trip(qc_guard::stage::HOM_SEARCH, 1);
-                        x
-                    })
-                })
-            })
-        });
-        let err = res.expect_err("a 10-unit budget cannot cover 64 items");
-        assert_eq!(err.stage, qc_guard::stage::HOM_SEARCH);
-        assert_eq!(err.kind, qc_guard::ResourceKind::Budget);
-        assert!(guard.consumed() > 10);
     }
 
     #[test]
     fn with_options_is_scoped_and_restores() {
         let base = current();
+        let ra = EngineOptions::default().with_eval_engine(EvalEngine::Ra);
         let inner = with_options(EngineOptions::naive(), || {
-            let nested = with_options(EngineOptions::sequential(), current);
-            assert_eq!(nested, EngineOptions::sequential());
+            let nested = with_options(ra, current);
+            assert_eq!(nested, ra);
             current()
         });
         assert_eq!(inner, EngineOptions::naive());

@@ -6,37 +6,19 @@
 //! relational subgoal of `Q1`. `Q1 ⊆ Q2` (comparison-free case) iff such a
 //! mapping exists [Chandra–Merlin 1977].
 //!
-//! The search is a backtracking walk over `Q2`'s subgoals with candidate
-//! subgoals of `Q1` pre-bucketed by `(predicate, arity)`, seeded with the
+//! The search is a backtracking walk over `Q2`'s subgoals, seeded with the
 //! head constraint (which usually pins the distinguished variables
-//! immediately). Goals are ordered most-constrained-first (ground
-//! arguments, then repeated-variable arguments, then fewest candidate
-//! targets), and a cheap pre-filter — predicate-set and
-//! constant-occurrence necessary conditions — rejects impossible
-//! instances before any search node is expanded.
-//!
-//! Inside the bucketed search, `Q2`'s variables are numbered into dense
-//! *slots* once up front; the backtracking state is a flat
-//! `Vec<Option<&Term>>` indexed by slot with a shared rewind stack, so
-//! binding, conflict checks, and rollback are array stores rather than
-//! hash-map operations. A [`Mapping`] is materialized only at the leaves,
-//! once per complete mapping found.
-//!
-//! Under [`crate::engine::EngineOptions::adaptive`] tiering, instances
-//! whose subgoal-count product is at or below
-//! [`crate::engine::EngineOptions::tier_hom_product`] skip bucket
-//! construction and goal ordering entirely and run the direct linear-scan
-//! kernel (`EngineTierDirect`/`EngineTierOptimized` count the routing).
-//! The linear-scan reference search is kept behind
-//! [`crate::engine::EngineOptions::naive`] as the ablation baseline.
+//! immediately). Goals are ordered most-constrained-first — fewest
+//! same-predicate targets first — and each goal scans `Q1`'s subgoals
+//! linearly for pred/arity-compatible candidates. Bindings live in one
+//! [`Mapping`] and are trailed on a shared rewind stack, so backtracking
+//! allocates nothing per node. Every decision procedure in the crate
+//! reduces to this one search.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-use qc_datalog::fx::FxHashMap;
-use qc_datalog::{Atom, ConjunctiveQuery, Symbol, Term, Var};
-
-use crate::engine;
+use qc_datalog::{Atom, ConjunctiveQuery, Term, Var};
 
 /// A variable-to-term mapping (the hom restricted to variables; constants
 /// always map to themselves).
@@ -51,8 +33,9 @@ pub fn apply_mapping(m: &Mapping, t: &Term) -> Term {
     }
 }
 
-/// Extends `m` so that `apply(m, from) == to`; `to` is fixed. Returns the
-/// list of newly bound variables for rollback, or `None` on conflict.
+/// Extends `m` so that `apply(m, from) == to`; `to` is fixed. Newly bound
+/// variables are pushed onto `added` for rollback. Returns `false` on
+/// conflict (the caller rolls back whatever was added).
 fn extend(m: &mut Mapping, from: &Term, to: &Term, added: &mut Vec<Var>) -> bool {
     match from {
         Term::Var(v) => match m.get(v) {
@@ -91,390 +74,6 @@ pub fn for_each_containment_mapping(
     if from.head.arity() != to.head.arity() {
         return true; // no mappings possible
     }
-    // The tier counters record which kernel actually ran, whatever made
-    // the choice (explicit `hom_buckets = false`, or the adaptive gate).
-    // Counting on every route keeps the accounting cost identical across
-    // configurations, so an A/B wall-clock comparison of baseline vs
-    // optimized measures the kernels, not the bookkeeping.
-    let opts = engine::current();
-    if !opts.hom_buckets {
-        qc_obs::count(qc_obs::Counter::EngineTierDirect, 1);
-        return naive_mapping_search(from, to, &mut visit);
-    }
-    // Adaptive tier gate: below the size threshold, bucket construction
-    // and goal ordering cost more than the linear scan they would save —
-    // the direct kernel is the faster *and* behaviorally identical choice
-    // (it is the ablation baseline).
-    if opts.adaptive
-        && from.subgoals.len().saturating_mul(to.subgoals.len()) <= opts.tier_hom_product
-    {
-        qc_obs::count(qc_obs::Counter::EngineTierDirect, 1);
-        return direct_mapping_search(from, to, &mut visit);
-    }
-    qc_obs::count(qc_obs::Counter::EngineTierOptimized, 1);
-
-    // Pre-bucket the targets by (predicate, arity): every search node then
-    // enumerates exactly the pred/arity-compatible candidates. Symbols
-    // hash by interned id, so the key is two integers.
-    let mut buckets: FxHashMap<(Symbol, usize), Vec<&Atom>> = FxHashMap::default();
-    for t in &to.subgoals {
-        buckets.entry((t.pred, t.args.len())).or_default().push(t);
-    }
-
-    // Cheap pre-filter (necessary conditions, checked before any search):
-    // every goal needs a nonempty bucket, and a constant at goal position
-    // `i` must occur at position `i` of at least one candidate (a variable
-    // or a mismatching constant there can never receive it).
-    for g in &from.subgoals {
-        let Some(cands) = buckets.get(&(g.pred, g.args.len())) else {
-            qc_obs::count(qc_obs::Counter::HomPrefilterRejects, 1);
-            return true;
-        };
-        for (i, a) in g.args.iter().enumerate() {
-            if matches!(a, Term::Const(_)) && !cands.iter().any(|c| &c.args[i] == a) {
-                qc_obs::count(qc_obs::Counter::HomPrefilterRejects, 1);
-                return true;
-            }
-        }
-    }
-
-    // Number every variable of `from` into a dense slot: head variables
-    // first, then subgoal variables in textual order. The per-subgoal,
-    // per-argument slot lists double as the ordering pass's and the
-    // forward check's variable lists — nothing allocates inside the
-    // search.
-    let mut slots = SlotMap::default();
-    let mut head_vars: BTreeSet<Var> = BTreeSet::new();
-    from.head.collect_vars(&mut head_vars);
-    for &v in &head_vars {
-        slots.slot(v);
-    }
-    let arg_vars: Vec<Vec<Vec<u32>>> = from
-        .subgoals
-        .iter()
-        .map(|g| {
-            g.args
-                .iter()
-                .map(|a| {
-                    let mut s = BTreeSet::new();
-                    a.collect_vars(&mut s);
-                    s.into_iter().map(|v| slots.slot(v)).collect()
-                })
-                .collect()
-        })
-        .collect();
-    let nslots = slots.vars.len();
-    let mut occurrences: Vec<u32> = vec![0; nslots];
-    for &v in &head_vars {
-        occurrences[slots.ids[&v] as usize] += 1;
-    }
-    for goal in &arg_vars {
-        for arg in goal {
-            for &s in arg {
-                occurrences[s as usize] += 1;
-            }
-        }
-    }
-
-    // Head constraint first.
-    let mut bind: Vec<Option<&Term>> = vec![None; nslots];
-    let mut added: Vec<u32> = Vec::new();
-    for (f, t) in from.head.args.iter().zip(&to.head.args) {
-        if !extend_slots(&mut bind, &slots.ids, f, t, &mut added) {
-            return true;
-        }
-    }
-
-    // Greedy connected, most-constrained-first goal order. Starting from
-    // the variables the head constraint pins, repeatedly pick the goal
-    // with (a) the most *determined* arguments — ground terms or terms
-    // whose variables are already pinned by earlier goals, which
-    // `extend_slots` checks against each candidate immediately, so
-    // mismatches fail at depth `k` instead of deep in the subtree — then
-    // (b) the most repeated-variable arguments (soon-to-be-pinned joins),
-    // then (c) the smallest candidate bucket. `min_by_key` takes the first
-    // minimum, so remaining ties break on textual order deterministically.
-    let mut order: Vec<usize> = (0..from.subgoals.len()).collect();
-    let mut pinned: Vec<bool> = vec![false; nslots];
-    for &v in &head_vars {
-        pinned[slots.ids[&v] as usize] = true;
-    }
-    for k in 0..order.len() {
-        let best = (k..order.len())
-            .min_by_key(|&i| {
-                let gi = order[i];
-                let g = &from.subgoals[gi];
-                let determined = arg_vars[gi]
-                    .iter()
-                    .filter(|vs| vs.iter().all(|&s| pinned[s as usize]))
-                    .count();
-                let repeated = arg_vars[gi]
-                    .iter()
-                    .filter(|vs| !vs.is_empty() && vs.iter().any(|&s| occurrences[s as usize] > 1))
-                    .count();
-                let cands = buckets.get(&(g.pred, g.args.len())).map_or(0, Vec::len);
-                (
-                    std::cmp::Reverse(determined),
-                    std::cmp::Reverse(repeated),
-                    cands,
-                )
-            })
-            .expect("nonempty suffix");
-        order.swap(k, best);
-        for vs in &arg_vars[order[k]] {
-            for &s in vs {
-                pinned[s as usize] = true;
-            }
-        }
-    }
-    let goals: Vec<&Atom> = order.iter().map(|&i| &from.subgoals[i]).collect();
-    let goal_arg_vars: Vec<&[Vec<u32>]> = order.iter().map(|&i| arg_vars[i].as_slice()).collect();
-    let mut ctx = Ctx {
-        goals: &goals,
-        arg_vars: &goal_arg_vars,
-        buckets: &buckets,
-        slots: &slots,
-        bind,
-        rewind: added,
-        visit: &mut visit,
-    };
-    bucketed_search(&mut ctx, 0).is_continue()
-}
-
-/// Dense numbering of the source query's variables; the bucketed search's
-/// backtracking state is a flat binding array indexed by slot.
-#[derive(Default)]
-struct SlotMap {
-    /// slot → variable (for leaf [`Mapping`] materialization).
-    vars: Vec<Var>,
-    /// variable → slot. Variables hash by interned symbol id.
-    ids: FxHashMap<Var, u32>,
-}
-
-impl SlotMap {
-    fn slot(&mut self, v: Var) -> u32 {
-        if let Some(&s) = self.ids.get(&v) {
-            return s;
-        }
-        let s = u32::try_from(self.vars.len()).expect("more than u32::MAX variables");
-        self.vars.push(v);
-        self.ids.insert(v, s);
-        s
-    }
-}
-
-/// Extends the slot bindings so that `from` maps onto `to`; `to` is fixed.
-/// Newly bound slots are pushed onto `added` for rollback. Returns `false`
-/// on conflict (the caller rolls back whatever was added).
-fn extend_slots<'q>(
-    bind: &mut [Option<&'q Term>],
-    slots: &FxHashMap<Var, u32>,
-    from: &Term,
-    to: &'q Term,
-    added: &mut Vec<u32>,
-) -> bool {
-    match from {
-        Term::Var(v) => {
-            let s = slots[v] as usize;
-            match bind[s] {
-                Some(img) => img == to,
-                None => {
-                    bind[s] = Some(to);
-                    added.push(s as u32);
-                    true
-                }
-            }
-        }
-        Term::Const(_) => from == to,
-        Term::App(f, fargs) => match to {
-            Term::App(g, gargs) => {
-                f == g
-                    && fargs.len() == gargs.len()
-                    && fargs
-                        .iter()
-                        .zip(gargs)
-                        .all(|(a, b)| extend_slots(bind, slots, a, b, added))
-            }
-            _ => false,
-        },
-    }
-}
-
-/// Non-destructive compatibility: can `f` still be mapped onto `t` under
-/// the current bindings? (Bound slots must agree with their image; unbound
-/// slots are unconstrained.) Used by the forward check — never binds.
-fn arg_compatible(bind: &[Option<&Term>], slots: &FxHashMap<Var, u32>, f: &Term, t: &Term) -> bool {
-    match f {
-        Term::Var(v) => bind[slots[v] as usize].is_none_or(|img| img == t),
-        Term::Const(_) => f == t,
-        Term::App(fs, fargs) => match t {
-            Term::App(ts, targs) if fs == ts && fargs.len() == targs.len() => fargs
-                .iter()
-                .zip(targs)
-                .all(|(a, b)| arg_compatible(bind, slots, a, b)),
-            _ => false,
-        },
-    }
-}
-
-/// The bucketed search's per-run state: compiled goal order, buckets, slot
-/// table, the flat binding array, and one shared rewind stack for the
-/// whole search (each node truncates back to its entry mark).
-struct Ctx<'r, 'q, V> {
-    goals: &'r [&'q Atom],
-    arg_vars: &'r [&'r [Vec<u32>]],
-    buckets: &'r FxHashMap<(Symbol, usize), Vec<&'q Atom>>,
-    slots: &'r SlotMap,
-    bind: Vec<Option<&'q Term>>,
-    rewind: Vec<u32>,
-    visit: &'r mut V,
-}
-
-fn bucketed_search<V: FnMut(&Mapping) -> ControlFlow<()>>(
-    ctx: &mut Ctx<'_, '_, V>,
-    k: usize,
-) -> ControlFlow<()> {
-    // One work unit per search node, at the `HomSearchNodes` counter site;
-    // `trip` unwinds to the nearest `qc_guard::guarded` boundary because
-    // the search has no fallible plumbing of its own.
-    qc_guard::trip(qc_guard::stage::HOM_SEARCH, 1);
-    qc_obs::count(qc_obs::Counter::HomSearchNodes, 1);
-    if k == ctx.goals.len() {
-        qc_obs::count(qc_obs::Counter::HomMappingsFound, 1);
-        // Materialize the mapping only at a leaf — once per complete
-        // mapping, not once per node.
-        let mut m = Mapping::with_capacity(ctx.slots.vars.len());
-        for (i, b) in ctx.bind.iter().enumerate() {
-            if let Some(t) = b {
-                m.insert(ctx.slots.vars[i], (*t).clone());
-            }
-        }
-        return (ctx.visit)(&m);
-    }
-    // Shared-ref fields copied to locals so the candidate list does not
-    // hold a borrow of `ctx` across the binding mutations below.
-    let (goals, arg_vars, buckets, slots) = (ctx.goals, ctx.arg_vars, ctx.buckets, ctx.slots);
-    let goal = goals[k];
-    let Some(cands) = buckets.get(&(goal.pred, goal.args.len())) else {
-        return ControlFlow::Continue(()); // unreachable after the pre-filter
-    };
-    qc_obs::count(qc_obs::Counter::HomBucketHits, 1);
-    for target in cands {
-        let mark = ctx.rewind.len();
-        let ok = goal
-            .args
-            .iter()
-            .zip(&target.args)
-            .all(|(f, t)| extend_slots(&mut ctx.bind, &slots.ids, f, t, &mut ctx.rewind));
-        // Forward check: every remaining goal must still have at least one
-        // candidate compatible with the extended bindings, otherwise the
-        // whole subtree is doomed — prune it without expanding a node.
-        // A goal's viability only changes when one of its variables is
-        // newly bound, so it suffices to re-check the goals this node's
-        // additions touch (the pre-filter covers the static conditions);
-        // this prunes exactly the same subtrees as re-checking everything.
-        let viable = ok
-            && goals[k + 1..].iter().enumerate().all(|(j, g)| {
-                let added = &ctx.rewind[mark..];
-                let affected = arg_vars[k + 1 + j]
-                    .iter()
-                    .any(|vs| vs.iter().any(|s| added.contains(s)));
-                !affected
-                    || buckets.get(&(g.pred, g.args.len())).is_some_and(|gcands| {
-                        gcands.iter().any(|t| {
-                            g.args
-                                .iter()
-                                .zip(&t.args)
-                                .all(|(f, ta)| arg_compatible(&ctx.bind, &slots.ids, f, ta))
-                        })
-                    })
-            });
-        if viable {
-            bucketed_search(ctx, k + 1)?;
-        } else {
-            qc_obs::count(qc_obs::Counter::HomCandidatesPruned, 1);
-        }
-        // Roll back this node's additions (the shared stack is back to
-        // `mark + additions` after the recursive call returns).
-        for i in mark..ctx.rewind.len() {
-            ctx.bind[ctx.rewind[i] as usize] = None;
-        }
-        ctx.rewind.truncate(mark);
-    }
-    ControlFlow::Continue(())
-}
-
-/// The linear-scan reference search (pre-bucketing behavior, preserved
-/// bit-for-bit as the ablation baseline under
-/// [`engine::EngineOptions::naive`]).
-fn naive_mapping_search(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
-    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
-) -> bool {
-    let mut m = Mapping::new();
-    let mut added = Vec::new();
-    for (f, t) in from.head.args.iter().zip(&to.head.args) {
-        if !extend(&mut m, f, t, &mut added) {
-            return true;
-        }
-    }
-    // Order subgoals most-constrained-first: fewer candidate targets first.
-    let mut order: Vec<&Atom> = from.subgoals.iter().collect();
-    order.sort_by_key(|g| to.subgoals.iter().filter(|t| t.pred == g.pred).count());
-    naive_search(&order, 0, to, &mut m, visit).is_continue()
-}
-
-fn naive_search(
-    goals: &[&Atom],
-    k: usize,
-    to: &ConjunctiveQuery,
-    m: &mut Mapping,
-    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    qc_guard::trip(qc_guard::stage::HOM_SEARCH, 1);
-    qc_obs::count(qc_obs::Counter::HomSearchNodes, 1);
-    if k == goals.len() {
-        qc_obs::count(qc_obs::Counter::HomMappingsFound, 1);
-        return visit(m);
-    }
-    let goal = goals[k];
-    for target in &to.subgoals {
-        if target.pred != goal.pred || target.args.len() != goal.args.len() {
-            continue;
-        }
-        let mut added = Vec::new();
-        let ok = goal
-            .args
-            .iter()
-            .zip(&target.args)
-            .all(|(f, t)| extend(m, f, t, &mut added));
-        if ok {
-            naive_search(goals, k + 1, to, m, visit)?;
-        } else {
-            qc_obs::count(qc_obs::Counter::HomCandidatesPruned, 1);
-        }
-        for v in added {
-            m.remove(&v);
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-/// The direct-tier kernel: the same candidate order, pruning behavior,
-/// and counter sites as [`naive_mapping_search`] — verdicts and counters
-/// are bit-for-bit identical — with the allocation discipline of the
-/// optimized engine. Candidate counts are computed once up front instead
-/// of inside every sort comparison, and bindings are trailed on one shared
-/// rewind stack (mark / drain) instead of a fresh `Vec` per search node.
-/// This is what the adaptive gate runs below the bucketing threshold, so
-/// "optimized" stays ahead of the naive reference even on instances too
-/// small for buckets to pay.
-fn direct_mapping_search(
-    from: &ConjunctiveQuery,
-    to: &ConjunctiveQuery,
-    visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
-) -> bool {
     let mut m = Mapping::new();
     let mut trail = Vec::new();
     for (f, t) in from.head.args.iter().zip(&to.head.args) {
@@ -482,11 +81,10 @@ fn direct_mapping_search(
             return true;
         }
     }
-    // Most-constrained-first, as in the reference kernel; the count is the
-    // same sort key, computed once per goal. Stable sort on equal counts
-    // preserves the reference's candidate order exactly. Single-goal
-    // searches (the bulk of MiniCon's MCD checks) skip both the counting
-    // pass and the sort — there is nothing to order.
+    // Most-constrained-first: fewer same-predicate targets first, counted
+    // once per goal. The stable sort keeps textual order among equal
+    // counts. Single-goal searches (the bulk of MiniCon's MCD checks) skip
+    // both the counting pass and the sort — there is nothing to order.
     let mut order: Vec<(usize, &Atom)> = if from.subgoals.len() <= 1 {
         from.subgoals.iter().map(|g| (0, g)).collect()
     } else {
@@ -499,10 +97,10 @@ fn direct_mapping_search(
         order.sort_by_key(|&(count, _)| count);
     }
     trail.clear();
-    direct_search(&order, 0, to, &mut m, &mut trail, visit).is_continue()
+    search(&order, 0, to, &mut m, &mut trail, &mut visit).is_continue()
 }
 
-fn direct_search(
+fn search(
     goals: &[(usize, &Atom)],
     k: usize,
     to: &ConjunctiveQuery,
@@ -510,6 +108,9 @@ fn direct_search(
     trail: &mut Vec<Var>,
     visit: &mut impl FnMut(&Mapping) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
+    // One work unit per search node, at the `HomSearchNodes` counter site;
+    // `trip` unwinds to the nearest `qc_guard::guarded` boundary because
+    // the search has no fallible plumbing of its own.
     qc_guard::trip(qc_guard::stage::HOM_SEARCH, 1);
     qc_obs::count(qc_obs::Counter::HomSearchNodes, 1);
     if k == goals.len() {
@@ -528,7 +129,7 @@ fn direct_search(
             .zip(&target.args)
             .all(|(f, t)| extend(m, f, t, trail));
         if ok {
-            direct_search(goals, k + 1, to, m, trail, visit)?;
+            search(goals, k + 1, to, m, trail, visit)?;
         } else {
             qc_obs::count(qc_obs::Counter::HomCandidatesPruned, 1);
         }
@@ -663,150 +264,5 @@ mod tests {
         let from = q("q() :- r(X, Y).");
         let to = q("q() :- r(A, B), s(A).");
         assert!(containment_mapping(&from, &to).is_some());
-    }
-
-    #[test]
-    fn bucketed_and_naive_search_agree() {
-        use crate::engine::{self, EngineOptions};
-        let pairs = [
-            ("q(X) :- r(X, Y).", "q(A) :- r(A, B)."),
-            (
-                "q(X, Y) :- e(X, Z), e(Z, Y).",
-                "q(X, Y) :- e(X, Z), e(Z, W), e(W, Y), e(X, Y).",
-            ),
-            ("q() :- r(X, X).", "q() :- r(A, B)."),
-            ("q(X) :- r(X, 10).", "q(A) :- r(A, 9)."),
-            ("q() :- r(X), s(X).", "q() :- r(A), r(B), s(A)."),
-            ("q(X) :- r(X, f(X)).", "q(A) :- r(A, f(A))."),
-            ("q(X) :- p(X), missing(X).", "q(A) :- p(A)."),
-        ];
-        for (f, t) in pairs {
-            let (from, to) = (q(f), q(t));
-            let bucketed = containment_mapping(&from, &to).is_some();
-            let naive = engine::with_options(EngineOptions::naive(), || {
-                containment_mapping(&from, &to).is_some()
-            });
-            assert_eq!(bucketed, naive, "{f} -> {t}");
-            // Mapping multiplicity agrees too.
-            let nb = all_containment_mappings(&from, &to).len();
-            let nn = engine::with_options(EngineOptions::naive(), || {
-                all_containment_mappings(&from, &to).len()
-            });
-            assert_eq!(nb, nn, "{f} -> {t}");
-        }
-    }
-
-    #[test]
-    fn prefilter_rejects_before_search() {
-        use crate::engine::{self, EngineOptions};
-        use std::sync::Arc;
-        // Tiering off: these instances are small enough that the adaptive
-        // gate would otherwise route them past the pre-filter to the
-        // direct kernel.
-        let opts = EngineOptions::sequential().with_adaptive(false);
-        // Missing predicate: rejected with zero search nodes.
-        let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
-            let _g = qc_obs::install(rec.clone());
-            let from = q("q() :- r(X), absent(X).");
-            let to = q("q() :- r(A).");
-            assert!(containment_mapping(&from, &to).is_none());
-        });
-        assert_eq!(rec.counters().get(qc_obs::Counter::HomPrefilterRejects), 1);
-        assert_eq!(rec.counters().get(qc_obs::Counter::HomSearchNodes), 0);
-        // Constant that occurs nowhere at that position: same.
-        let rec2 = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(opts, || {
-            let _g = qc_obs::install(rec2.clone());
-            let from = q("q() :- r(X, 10).");
-            let to = q("q() :- r(A, 9), r(B, B).");
-            assert!(containment_mapping(&from, &to).is_none());
-        });
-        assert_eq!(rec2.counters().get(qc_obs::Counter::HomPrefilterRejects), 1);
-        assert_eq!(rec2.counters().get(qc_obs::Counter::HomSearchNodes), 0);
-    }
-
-    #[test]
-    fn adaptive_tier_routes_by_instance_size() {
-        use crate::engine::{self, EngineOptions};
-        use std::sync::Arc;
-        let small_from = q("q(X) :- e(X, Y).");
-        let small_to = q("q(A) :- e(A, B).");
-        let big_from = q("q(X) :- e(X, A), e(A, B), e(B, C), e(C, D), e(D, Y).");
-        let big_to = q("q(X) :- e(X, A), e(A, B), e(B, C), e(C, D), e(D, Y), \
-             e(Y, X), e(A, C), e(B, D).");
-        let tiers = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
-            let rec = Arc::new(qc_obs::PipelineRecorder::new());
-            engine::with_options(opts, || {
-                let _g = qc_obs::install(rec.clone());
-                containment_mapping(from, to);
-            });
-            (
-                rec.counters().get(qc_obs::Counter::EngineTierDirect),
-                rec.counters().get(qc_obs::Counter::EngineTierOptimized),
-            )
-        };
-        // 1 × 1 subgoals ≤ the default threshold: direct kernel.
-        let defaults = EngineOptions::sequential();
-        assert_eq!(tiers(defaults, &small_from, &small_to), (1, 0));
-        // With a lowered threshold the 5 × 8 = 40 product routes to the
-        // bucketed kernel (the measured default crossover is far larger —
-        // see engine::DEFAULT_TIER_HOM_PRODUCT).
-        let lowered = EngineOptions {
-            tier_hom_product: 16,
-            ..EngineOptions::sequential()
-        };
-        assert_eq!(tiers(lowered, &big_from, &big_to), (0, 1));
-        // And the same big instance stays on the direct kernel at defaults.
-        assert_eq!(tiers(defaults, &big_from, &big_to), (1, 0));
-        // Forcing the tier works in both directions, and every routing
-        // agrees on the verdict.
-        let forced = |opts: EngineOptions, from: &ConjunctiveQuery, to: &ConjunctiveQuery| {
-            engine::with_options(opts, || containment_mapping(from, to).is_some())
-        };
-        let low = EngineOptions {
-            tier_hom_product: 0,
-            ..EngineOptions::sequential()
-        };
-        let high = EngineOptions {
-            tier_hom_product: usize::MAX,
-            ..EngineOptions::sequential()
-        };
-        for (from, to) in [(&small_from, &small_to), (&big_from, &big_to)] {
-            let oracle = engine::with_options(EngineOptions::naive(), || {
-                containment_mapping(from, to).is_some()
-            });
-            assert_eq!(forced(low, from, to), oracle);
-            assert_eq!(forced(high, from, to), oracle);
-        }
-    }
-
-    #[test]
-    fn bucketed_search_explores_fewer_nodes() {
-        use crate::engine::{self, EngineOptions};
-        use std::sync::Arc;
-        // A wide target with many distractor predicates: bucketing skips
-        // them, the linear scan walks them per node.
-        let from = q("q(X) :- e(X, Y), e(Y, Z), lab(Z, red).");
-        let to = q(
-            "q(A) :- e(A, B), e(B, C), lab(C, red), d0(A), d1(A), d2(A), \
-             d3(A), d4(A), e(C, A), e(B, A).",
-        );
-        let nodes = |opts: EngineOptions| {
-            let rec = Arc::new(qc_obs::PipelineRecorder::new());
-            engine::with_options(opts, || {
-                let _g = qc_obs::install(rec.clone());
-                assert!(containment_mapping(&from, &to).is_some());
-            });
-            rec.counters().get(qc_obs::Counter::HomSearchNodes)
-        };
-        // Adaptive tiering off: this 3 × 10 instance would otherwise route
-        // to the direct kernel and the comparison would be vacuous.
-        let bucketed = nodes(EngineOptions::sequential().with_adaptive(false));
-        let naive = nodes(EngineOptions::naive());
-        assert!(
-            bucketed <= naive,
-            "bucketed {bucketed} > naive {naive} search nodes"
-        );
     }
 }

@@ -46,7 +46,6 @@ pub mod cq;
 pub mod datalog_ucq;
 pub mod engine;
 pub mod homomorphism;
-pub mod memo;
 pub mod uniform;
 pub mod witness;
 
@@ -57,4 +56,3 @@ pub use cq::{
 pub use datalog_ucq::{datalog_contained_in_ucq, DatalogUcqError};
 pub use engine::EngineOptions;
 pub use homomorphism::{containment_mapping, for_each_containment_mapping, Mapping};
-pub use memo::cq_contained_memo;

@@ -1,58 +1,13 @@
-//! Differential tests for the engine configurations: the optimized paths
-//! (atom reordering, bucketed homomorphism search, containment memo,
-//! parallel fan-out) must agree with the order-naïve reference path on
-//! random inputs, for every knob combination the engine exposes.
-//!
-//! The oracle is [`qc_containment::EngineOptions::naive`] — sequential,
-//! linear-scan homomorphism search, no memo — which reproduces the
-//! pre-optimization engine bit-for-bit. Every other configuration is an
-//! implementation of the same mathematical functions, so the verdicts
-//! (and, for evaluation, the answer *sets*) must be identical.
+//! Differential test for the evaluator's join reordering: greedy
+//! most-bound-first rule-body reordering (`EvalOptions::reorder`, the
+//! default) must derive the same answer sets as textual join order on
+//! random nonrecursive programs.
 
 use proptest::prelude::*;
-use qc_containment::datalog_ucq::{datalog_contained_in_ucq, FixpointBudget};
-use qc_containment::{cq_contained, cq_contained_memo, engine, ucq_contained, EngineOptions};
 use qc_datalog::eval::{answers, EvalOptions};
-use qc_datalog::{parse_program, Atom, ConjunctiveQuery, Database, Program, Symbol, Term, Ucq};
+use qc_datalog::{parse_program, Database, Program, Symbol, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The configurations under test, paired with the naïve oracle: the
-/// optimized engine pinned to one thread, and the optimized engine fanned
-/// out over four workers.
-fn configs() -> [(&'static str, EngineOptions); 2] {
-    [
-        ("sequential", EngineOptions::sequential()),
-        ("parallel4", EngineOptions::sequential().with_parallelism(4)),
-    ]
-}
-
-/// A random small comparison-free CQ over binary predicates (mirrors the
-/// generator in `properties.rs`).
-fn random_cq(rng: &mut StdRng, head_arity: usize) -> ConjunctiveQuery {
-    let natoms = rng.gen_range(1..=3);
-    let nvars = rng.gen_range(1..=4u32);
-    let term = |rng: &mut StdRng| -> Term {
-        if rng.gen_bool(0.2) {
-            Term::int(rng.gen_range(0..2))
-        } else {
-            Term::var(format!("V{}", rng.gen_range(0..nvars)))
-        }
-    };
-    let mut subgoals = Vec::new();
-    for _ in 0..natoms {
-        let p = rng.gen_range(0..2);
-        subgoals.push(Atom::new(format!("p{p}"), vec![term(rng), term(rng)]));
-    }
-    let body_vars: Vec<_> = subgoals.iter().flat_map(|a| a.vars()).collect();
-    let head_args: Vec<Term> = (0..head_arity)
-        .map(|_| match body_vars.first() {
-            Some(_) => Term::Var(body_vars[rng.gen_range(0..body_vars.len())]),
-            None => Term::int(0),
-        })
-        .collect();
-    ConjunctiveQuery::new(Atom::new("q", head_args), subgoals, Vec::new())
-}
 
 /// A random nonrecursive layered program with answer predicate `q`
 /// (mirrors the generator in `properties.rs`).
@@ -101,91 +56,6 @@ fn random_db(rng: &mut StdRng) -> Database {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn cq_containment_agrees_across_engines(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let q1 = random_cq(&mut rng, 1);
-        let q2 = random_cq(&mut rng, 1);
-        let oracle = engine::with_options(EngineOptions::naive(), || cq_contained(&q1, &q2));
-        for (name, opts) in configs() {
-            let got = engine::with_options(opts, || cq_contained(&q1, &q2));
-            prop_assert_eq!(oracle, got, "{}: q1: {} q2: {}", name, q1, q2);
-            // The memoized entry point must agree too — ask twice so the
-            // second answer comes from the cache.
-            let memo1 = engine::with_options(opts, || cq_contained_memo(&q1, &q2));
-            let memo2 = engine::with_options(opts, || cq_contained_memo(&q1, &q2));
-            prop_assert_eq!(oracle, memo1, "{} (memo): q1: {} q2: {}", name, q1, q2);
-            prop_assert_eq!(oracle, memo2, "{} (cached): q1: {} q2: {}", name, q1, q2);
-        }
-    }
-
-    #[test]
-    fn direct_tier_counters_match_naive_oracle(seed in any::<u64>()) {
-        // The adaptive direct tier is a drop-in replacement for the naïve
-        // kernel: below the tier threshold it must do exactly the same
-        // work, counter for counter, not just reach the same verdict.
-        // (The bucketed tier above the threshold legitimately explores
-        // fewer nodes; this pins the small-instance path to zero drift.)
-        let mut rng = StdRng::seed_from_u64(seed);
-        let q1 = random_cq(&mut rng, 1);
-        let q2 = random_cq(&mut rng, 1);
-        let observe = |opts: EngineOptions| {
-            let rec = std::sync::Arc::new(qc_obs::PipelineRecorder::new());
-            let verdict = {
-                let _g = qc_obs::install(rec.clone());
-                engine::with_options(opts, || cq_contained(&q1, &q2))
-            };
-            let c = rec.counters();
-            (
-                verdict,
-                c.get(qc_obs::Counter::HomSearchNodes),
-                c.get(qc_obs::Counter::HomMappingsFound),
-                c.get(qc_obs::Counter::HomCandidatesPruned),
-            )
-        };
-        let naive = observe(EngineOptions::naive());
-        let direct = observe(EngineOptions::sequential());
-        prop_assert_eq!(naive, direct, "q1: {} q2: {}", q1, q2);
-    }
-
-    #[test]
-    fn ucq_containment_agrees_across_engines(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let u1 = Ucq::new((0..3).map(|_| random_cq(&mut rng, 1)).collect()).unwrap();
-        let u2 = Ucq::new((0..3).map(|_| random_cq(&mut rng, 1)).collect()).unwrap();
-        let oracle = engine::with_options(EngineOptions::naive(), || ucq_contained(&u1, &u2));
-        for (name, opts) in configs() {
-            let got = engine::with_options(opts, || ucq_contained(&u1, &u2));
-            prop_assert_eq!(oracle, got, "{}: u1: {} u2: {}", name, u1, u2);
-        }
-    }
-
-    #[test]
-    fn datalog_ucq_fixpoint_agrees_across_engines(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let p = random_layered_program(&mut rng);
-        // Include a redundant (subsumed) disjunct from time to time so the
-        // memoized pre-pass actually fires.
-        let mut targets: Vec<ConjunctiveQuery> = (0..2).map(|_| random_cq(&mut rng, 1)).collect();
-        if rng.gen_bool(0.5) {
-            targets.push(targets[0].clone());
-        }
-        let u2 = Ucq::new(targets).expect("same heads");
-        let ans = Symbol::new("q");
-        let budget = FixpointBudget::default();
-        let oracle = engine::with_options(EngineOptions::naive(), || {
-            datalog_contained_in_ucq(&p, &ans, &u2, &budget)
-        })
-        .unwrap();
-        for (name, opts) in configs() {
-            let got = engine::with_options(opts, || {
-                datalog_contained_in_ucq(&p, &ans, &u2, &budget)
-            })
-            .unwrap();
-            prop_assert_eq!(oracle, got, "{}: program:\n{}\ntarget:\n{}", name, p, u2);
-        }
-    }
 
     #[test]
     fn reordered_evaluation_agrees_with_textual_order(seed in any::<u64>()) {

@@ -18,8 +18,8 @@
 //!   installed — the unguarded path stays bit-for-bit identical;
 //! * exhaustion is reported as a [`ResourceError`] with provenance: the
 //!   *stage* that tripped, the units *consumed*, and the *limit*;
-//! * loops without fallible plumbing (the homomorphism search, the
-//!   containment memo, MiniCon) use [`trip`], which unwinds with a
+//! * loops without fallible plumbing (the homomorphism search, MiniCon,
+//!   the Theorem 3.1 enumeration) use [`trip`], which unwinds with a
 //!   private payload that the nearest [`guarded`] boundary catches and
 //!   converts back into `Err(ResourceError)` — a cooperative interrupt,
 //!   not a crash. Non-guard panics pass through `guarded` untouched;
@@ -47,8 +47,6 @@ pub mod stage {
     pub const EVAL: &str = "eval";
     /// Homomorphism / containment-mapping search (nodes expanded).
     pub const HOM_SEARCH: &str = "hom_search";
-    /// Canonical containment memo lookups.
-    pub const MEMO: &str = "memo";
     /// Datalog ⊆ UCQ type fixpoint (iterations, compositions, types).
     pub const FIXPOINT: &str = "fixpoint";
     /// MiniCon rewriting (MCDs formed and combined).
@@ -426,9 +424,9 @@ thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The guard installed on this thread, if any. Workers of a parallel
-/// fan-out clone the parent's guard through this and re-install it, so
-/// consumption aggregates across threads.
+/// The guard installed on this thread, if any. A clone shares the
+/// original's budget and deadline state, so work re-installed on another
+/// thread draws on the same pool.
 pub fn current() -> Option<Guard> {
     if !ACTIVE.with(Cell::get) {
         return None;
@@ -482,7 +480,7 @@ pub fn check(stage: &'static str) -> Result<(), ResourceError> {
 struct Trip(ResourceError);
 
 /// Like [`tick`], for loops without fallible plumbing (the homomorphism
-/// search, the memo, MiniCon): on exhaustion it unwinds with a private
+/// search, MiniCon, the enumeration): on exhaustion it unwinds with a private
 /// payload instead of returning an error. The nearest [`guarded`] call
 /// converts the unwind back into `Err(ResourceError)`.
 #[inline]

@@ -14,7 +14,7 @@
 //! independent construction of the maximally-contained plan — the property
 //! tests pit it against the inverse-rules and MiniCon routes.
 
-use qc_containment::{cq_contained_memo, engine, minimize};
+use qc_containment::{cq_contained, minimize};
 use qc_datalog::{Atom, ConjunctiveQuery, Const, Term, Ucq};
 
 use crate::expansion::expand_cq;
@@ -71,13 +71,9 @@ pub fn enumerated_plan(
         consts.clear();
     }
 
+    // Candidates are generated in a deterministic order and each is
+    // soundness-checked as it is formed ([`check_candidate`]).
     let mut sound: Vec<ConjunctiveQuery> = Vec::new();
-    // Candidates are generated in a deterministic order and buffered; each
-    // full batch is soundness-checked through [`flush_candidates`] (memoized
-    // containment, fanned out across worker threads when the engine's
-    // parallelism allows). Verdicts are consumed in candidate order, so the
-    // plan is identical for any parallelism.
-    let mut pending: Vec<ConjunctiveQuery> = Vec::new();
     let mut budget = limits.max_candidates;
 
     // Choose a multiset of views of each size 1..=n (by non-decreasing
@@ -145,10 +141,8 @@ pub fn enumerated_plan(
                 // same candidate anyway, so we only enumerate blocks.)
                 let var_blocks: Vec<usize> = (0..nblocks).filter(|b| choice[*b] == 0).collect();
                 if head_arity == 0 {
-                    pending.push(make_candidate(query, Vec::new(), &body));
-                    if pending.len() >= CHECK_BATCH {
-                        flush_candidates(&mut pending, query, views, &mut sound);
-                    }
+                    let c = make_candidate(query, Vec::new(), &body);
+                    check_candidate(&c, query, views, &mut sound);
                 } else if !var_blocks.is_empty() {
                     let mut head_sel = vec![0usize; head_arity];
                     loop {
@@ -156,10 +150,8 @@ pub fn enumerated_plan(
                             .iter()
                             .map(|&k| Term::var(format!("B{}", var_blocks[k])))
                             .collect();
-                        pending.push(make_candidate(query, head_args, &body));
-                        if pending.len() >= CHECK_BATCH {
-                            flush_candidates(&mut pending, query, views, &mut sound);
-                        }
+                        let c = make_candidate(query, head_args, &body);
+                        check_candidate(&c, query, views, &mut sound);
                         // Odometer over head selections.
                         let mut k = 0;
                         loop {
@@ -201,8 +193,6 @@ pub fn enumerated_plan(
         }
     }
 
-    flush_candidates(&mut pending, query, views, &mut sound);
-
     // Drop candidates subsumed by another sound candidate.
     Some(if sound.is_empty() {
         Ucq::empty(query.head.pred.as_str(), head_arity)
@@ -210,9 +200,6 @@ pub fn enumerated_plan(
         qc_containment::minimize_union(&Ucq::new(sound).expect("candidates share the query head"))
     })
 }
-
-/// Candidates buffered between soundness-check batches.
-const CHECK_BATCH: usize = 1024;
 
 /// Assembles a candidate plan from a head/body choice.
 fn make_candidate(
@@ -230,31 +217,20 @@ fn make_candidate(
     )
 }
 
-/// Soundness-checks a batch of candidates — expansion plus memoized
-/// containment in the query, fanned out across worker threads when the
-/// engine's parallelism allows — then inserts the sound ones (minimized,
-/// deduped) in candidate order. Clears the buffer.
-fn flush_candidates(
-    pending: &mut Vec<ConjunctiveQuery>,
+/// Soundness-checks one candidate — expansion plus containment in the
+/// query — and inserts it (minimized, deduped) if sound.
+fn check_candidate(
+    candidate: &ConjunctiveQuery,
     query: &ConjunctiveQuery,
     views: &LavSetting,
     sound: &mut Vec<ConjunctiveQuery>,
 ) {
-    if pending.is_empty() {
-        return;
-    }
-    let verdicts = engine::parallel_map(pending, |c| {
-        expand_cq(c, views).is_some_and(|exp| cq_contained_memo(&exp, query))
-    });
-    for (c, ok) in pending.iter().zip(verdicts) {
-        if ok {
-            let min = minimize(c);
-            if !sound.contains(&min) {
-                sound.push(min);
-            }
+    if expand_cq(candidate, views).is_some_and(|exp| cq_contained(&exp, query)) {
+        let min = minimize(candidate);
+        if !sound.contains(&min) {
+            sound.push(min);
         }
     }
-    pending.clear();
 }
 
 /// Enumerates set partitions of `0..n` via restricted growth strings.

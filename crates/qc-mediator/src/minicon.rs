@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use qc_containment::homomorphism::{all_containment_mappings, apply_mapping};
-use qc_containment::{cq_contained_memo, engine, minimize};
+use qc_containment::{cq_contained, minimize};
 use qc_datalog::{Atom, Comparison, ConjunctiveQuery, Subst, Term, Ucq, Var, VarGen};
 
 use crate::expansion::expand_cq;
@@ -126,15 +126,12 @@ fn assemble_rewritings(query: &ConjunctiveQuery, mcds: Vec<Mcd>, views: &LavSett
         n,
         &mut rewritings,
     );
-    // Soundness check + minimization + dedup. The per-candidate checks
-    // are independent: each expansion's containment in the query goes
-    // through the canonical memo and the batch fans out across worker
-    // threads when the engine's parallelism allows. Verdicts come back in
-    // candidate order, so dedup (and hence the output) is identical for
-    // any parallelism.
-    let verdicts = engine::parallel_map(&rewritings, |rw| {
-        expand_cq(rw, views).is_some_and(|exp| cq_contained_memo(&exp, query))
-    });
+    // Soundness check of every candidate, then minimization + dedup of
+    // the sound ones in candidate order.
+    let verdicts: Vec<bool> = rewritings
+        .iter()
+        .map(|rw| expand_cq(rw, views).is_some_and(|exp| cq_contained(&exp, query)))
+        .collect();
     let mut sound: Vec<ConjunctiveQuery> = Vec::new();
     for (rw, ok) in rewritings.iter().zip(verdicts) {
         if ok {
@@ -513,7 +510,7 @@ pub fn semi_interval_plan(query: &ConjunctiveQuery, views: &LavSetting) -> Ucq {
                 if !cset.is_satisfiable() {
                     continue;
                 }
-                if cq_contained_memo(&cexp, query) && !disjuncts.contains(&candidate) {
+                if cq_contained(&cexp, query) && !disjuncts.contains(&candidate) {
                     disjuncts.push(candidate);
                 }
             }

@@ -82,7 +82,7 @@ pub enum RelativeError {
     /// Plan evaluation failed (freeze-and-evaluate route).
     Eval(EvalError),
     /// An installed [`qc_guard::Guard`] limit tripped in a stage with no
-    /// fallible plumbing of its own (homomorphism search, memo, MiniCon,
+    /// fallible plumbing of its own (homomorphism search, MiniCon,
     /// enumeration) and unwound to the enclosing `qc_guard::guarded`
     /// boundary.
     Resource(qc_guard::ResourceError),

@@ -101,20 +101,12 @@ counters! {
     HomMappingsFound => "hom_mappings_found",
     /// Candidate target subgoals rejected before recursing.
     HomCandidatesPruned => "hom_candidates_pruned",
-    /// Goal lookups answered from the `(pred, arity)` target buckets.
-    HomBucketHits => "hom_bucket_hits",
-    /// Homomorphism searches rejected by the pre-filter before any search.
-    HomPrefilterRejects => "hom_prefilter_rejects",
     /// Candidate tuples enumerated through a per-position `rows_with`
     /// index probe during rule-body matching.
     EvalIndexProbes => "eval_index_probes",
     /// Candidate tuples enumerated by falling back to a full relation
     /// scan during rule-body matching ("full-scan probes").
     EvalFullScans => "eval_full_scans",
-    /// CQ⊑CQ verdicts answered from the canonical containment memo.
-    MemoHits => "memo_hits",
-    /// CQ⊑CQ verdicts computed and inserted into the containment memo.
-    MemoMisses => "memo_misses",
     /// Iterations of the Chaudhuri–Vardi type fixpoint (datalog ⊆ UCQ).
     FixpointIterations => "fixpoint_iterations",
     /// Type-table entries recorded by the fixpoint.
@@ -183,12 +175,6 @@ counters! {
     JournalResets => "journal_resets",
     /// Size-triggered journal compactions (live fingerprints rewritten).
     JournalCompactions => "journal_compactions",
-    /// Containment-mapping searches the adaptive size estimator routed to
-    /// the direct (linear-scan) kernel because the instance was small.
-    EngineTierDirect => "engine_tier_direct",
-    /// Containment-mapping searches the adaptive size estimator routed to
-    /// the bucketed (optimized) kernel.
-    EngineTierOptimized => "engine_tier_optimized",
     /// Fixpoints the adaptive eval router ran on the batch
     /// relational-algebra engine.
     EvalTierRa => "eval_tier_ra",

@@ -30,10 +30,9 @@ pub struct Checkpoint {
     /// Enumeration cursor: indices of plan disjuncts already proven
     /// contained, ascending.
     pub proven: Vec<usize>,
-    /// Containment-memo entries resident when the checkpoint was cut.
-    /// Advisory only — the memo is process-local and its keys are not
-    /// exported; a resumed run in a warm process re-derives the skipped
-    /// disjuncts' sub-results from the memo, a cold one recomputes them.
+    /// Retained only for wire compatibility: journals and clients that
+    /// predate its retirement carry the field. New checkpoints write `0`;
+    /// the value is never read, so any value replays and resumes alike.
     pub memo_resident: usize,
     /// Catalog epoch the checkpoint was cut under. A checkpoint is only
     /// honored at the *current* epoch: when a catalog delta leaves a

@@ -8,7 +8,7 @@
 //! | tier | procedure | answers |
 //! |------|-----------|---------|
 //! | [`Tier::Full`] | Thm 3.1 enumeration, configured engine | exact |
-//! | [`Tier::Bounded`] | same per-disjunct loop, sequential engine, capped budget | exact when it finishes, `Unknown` otherwise |
+//! | [`Tier::Bounded`] | same per-disjunct loop, default engine, capped budget | exact when it finishes, `Unknown` otherwise |
 //! | [`Tier::MiniconOnly`] | MiniCon sound under-approximation | `NotContained` definite, everything else `Unknown` |
 //!
 //! The soundness argument for the bottom tier lives with

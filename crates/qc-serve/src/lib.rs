@@ -464,10 +464,10 @@ pub struct ServeConfig {
     pub coalesce: bool,
     /// How many request timelines the flight recorder retains.
     pub flight_capacity: usize,
-    /// Engine configuration for [`Tier::Full`] runs. Defaults to the
-    /// sequential optimized engine: service-level parallelism comes from
-    /// workers, and sequential runs keep verdicts (and checkpoints)
-    /// deterministic per request.
+    /// Engine configuration for [`Tier::Full`] runs. Defaults to
+    /// [`EngineOptions::default`]; service-level parallelism comes from
+    /// workers, and each request runs sequentially, which keeps verdicts
+    /// (and checkpoints) deterministic per request.
     pub engine: EngineOptions,
 }
 
@@ -486,7 +486,7 @@ impl Default for ServeConfig {
             start_paused: false,
             coalesce: true,
             flight_capacity: 256,
-            engine: EngineOptions::sequential(),
+            engine: EngineOptions::default(),
         }
     }
 }
@@ -1268,14 +1268,14 @@ impl ServeCore {
         let _rec_guard = qc_obs::install(request_rec.clone() as Arc<dyn qc_obs::Recorder>);
 
         let outcome = if tier == Tier::MiniconOnly && self.minicon_supported(req, snap) {
-            engine::with_options(EngineOptions::sequential(), || {
+            engine::with_options(EngineOptions::default(), || {
                 qc_guard::with_guard(&guard, || self.minicon_verdict(req, grant, snap))
             })
         } else {
             let opts = if tier == Tier::Full {
                 self.cfg.engine
             } else {
-                EngineOptions::sequential()
+                EngineOptions::default()
             };
             engine::with_options(opts, || {
                 qc_guard::with_guard(&guard, || {
@@ -1366,7 +1366,7 @@ impl ServeCore {
                 fingerprint,
                 disjuncts_total: p.disjuncts_total,
                 proven: p.disjuncts_proven.clone(),
-                memo_resident: qc_containment::memo::resident(),
+                memo_resident: 0,
                 epoch: Some(epoch),
                 preds: Some(req.pred_names().into_iter().collect()),
             }),

@@ -109,6 +109,34 @@ fn restart_resumes_from_the_journal_and_retires_on_completion() {
     );
 }
 
+/// `memo_resident` is kept only for wire compatibility: new checkpoints
+/// write 0, and a journal record carrying a nonzero value (as records cut
+/// while the field was still populated do) replays intact and still
+/// resumes the request after a restart.
+#[test]
+fn nonzero_memo_resident_records_replay_and_resume() {
+    let path = scratch("memo-resident");
+    let core = ServeCore::new(example1_sources(), ServeConfig::default());
+    let (_, cp) = starve_to_checkpoint(&core, &contained_request());
+    assert_eq!(cp.memo_resident, 0, "new checkpoints write 0");
+    let legacy = Checkpoint {
+        memo_resident: 4096,
+        ..cp.clone()
+    };
+    FileJournal::open(&path).unwrap().save(&legacy);
+
+    let journal = Arc::new(FileJournal::open(&path).unwrap());
+    assert_eq!(
+        journal.load(cp.fingerprint),
+        Some(legacy),
+        "replayed intact"
+    );
+    let core = ServeCore::with_store(example1_sources(), ServeConfig::default(), journal);
+    let resp = core.handle(&contained_request(), 0).unwrap();
+    assert!(resp.resumed, "the replayed record resumes the request");
+    assert_eq!(resp.verdict, Verdict::Contained);
+}
+
 /// Trace IDs must stay unique across a kill–restart: the journal
 /// generation lives in the ID's high bits, so two processes that each
 /// start their sequence at 1 still never collide.
@@ -198,9 +226,9 @@ fn timelines_distinguish_fresh_resumed_and_coalesced() {
 }
 
 /// A retried request must never re-prove disjuncts its checkpoint already
-/// settled. Pinned via the consumed counter: on the same core (equal memo
-/// warmth), a resume that starts with every disjunct proven does strictly
-/// less work than one that starts from nothing.
+/// settled. Pinned via the consumed counter: on the same core, a resume
+/// that starts with every disjunct proven does strictly less work than one
+/// that starts from nothing.
 #[test]
 fn resumed_runs_skip_proven_disjuncts() {
     let core = ServeCore::new(example1_sources(), ServeConfig::default());
@@ -221,8 +249,6 @@ fn resumed_runs_skip_proven_disjuncts() {
         core.handle(&req, 0).unwrap()
     };
 
-    // Warm the memo once so the two measured runs see identical state.
-    let _ = run(Vec::new());
     let from_nothing = run(Vec::new());
     let all_proven = run((0..total).collect());
     assert_eq!(from_nothing.verdict, Verdict::Contained);

@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
+use relcont::containment::cq_contained;
 use relcont::containment::datalog_ucq::{
     datalog_contained_in_ucq, DatalogUcqError, FixpointBudget,
 };
-use relcont::containment::engine::{self, EngineOptions};
 use relcont::containment::witness::{find_counterexample_expansion, WitnessBudget};
-use relcont::containment::{cq_contained, cq_contained_memo};
 use relcont::datalog::eval::{answers, EvalError, EvalOptions};
 use relcont::datalog::{parse_program, parse_query, Database, Symbol, Ucq};
 use relcont::guard::{self, FaultKind, FaultPlan, Guard, ResourceKind};
@@ -82,22 +81,6 @@ fn hom_search_budget_provenance() {
     let big = Guard::unlimited().with_budget(1_000_000);
     let v = guard::with_guard(&big, || guard::guarded(|| cq_contained(&qa, &qb))).unwrap();
     assert_eq!(v, cq_contained(&qa, &qb));
-}
-
-/// The containment memo ticks once per question asked through it.
-#[test]
-fn memo_budget_provenance() {
-    let qa = parse_query("q(X) :- r(X, Y).").unwrap();
-    let qb = parse_query("q(A) :- r(A, B).").unwrap();
-    let g = Guard::unlimited().with_budget(0);
-    let e = guard::with_guard(&g, || {
-        engine::with_options(EngineOptions::sequential(), || {
-            guard::guarded(|| cq_contained_memo(&qa, &qb))
-        })
-    })
-    .unwrap_err();
-    assert_eq!(e.stage, guard::stage::MEMO);
-    assert_eq!(e.kind, ResourceKind::Budget);
 }
 
 /// The type fixpoint propagates guard errors through its own plumbing
@@ -312,9 +295,8 @@ fn cancellation_yields_unknown() {
 fn unlimited_guard_reproduces_counters() {
     let views = example1_sources();
     let run = |guarded: bool| {
-        relcont::containment::memo::clear();
         let rec = Arc::new(qc_obs::PipelineRecorder::new());
-        engine::with_options(EngineOptions::sequential(), || {
+        {
             let _g = qc_obs::install(rec.clone());
             let body = || {
                 assert!(relatively_contained(
@@ -331,7 +313,7 @@ fn unlimited_guard_reproduces_counters() {
             } else {
                 body();
             }
-        });
+        }
         rec.counters().snapshot()
     };
     assert_eq!(run(false), run(true));

@@ -1,7 +1,8 @@
 //! Property-based cross-validation: independent implementations and the
 //! raw semantics must agree on randomized workloads.
 //!
-//! * containment-mapping CQ containment ⇔ canonical-database evaluation;
+//! * containment-mapping CQ and UCQ containment ⇔ canonical-database
+//!   evaluation (freeze and evaluate, independent of the mapping search);
 //! * relative containment, expansion route ⇔ plan-comparison route;
 //! * decided relative containment ⇒ certain-answer containment on
 //!   sampled instances (the semantics, Definition 2.4);
@@ -14,10 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use relcont::containment::canonical::freeze;
-use relcont::containment::{cq_contained, cq_equivalent, minimize};
+use relcont::containment::{cq_contained, cq_equivalent, minimize, ucq_contained};
 use relcont::datalog::eval::{answers, evaluate, EvalOptions, Strategy};
 use relcont::datalog::{
-    Atom, CompOp, Comparison, ConjunctiveQuery, Database, Program, Symbol, Term,
+    Atom, CompOp, Comparison, ConjunctiveQuery, Database, Program, Symbol, Term, Ucq,
 };
 use relcont::mediator::certain::certain_answers;
 use relcont::mediator::relative::{relatively_contained, relatively_contained_by_plans};
@@ -55,31 +56,121 @@ fn arbitrary_cq(rng: &mut StdRng, max_atoms: usize) -> ConjunctiveQuery {
     ConjunctiveQuery::new(Atom::new("q", head_args), subgoals, Vec::new())
 }
 
+/// A random comparison-free CQ for the canonical-database oracle: 1 to
+/// `max_atoms` subgoals over `p0/2`, `p1/2` and `p2/1` whose arguments
+/// are variables, small integer constants, or function terms `f(V)` and
+/// `g(V)`, and a head of `head_arity` body variables (the constant 0 when
+/// the body has no variables).
+fn oracle_cq(rng: &mut StdRng, max_atoms: usize, head_arity: usize) -> ConjunctiveQuery {
+    let natoms = rng.gen_range(1..=max_atoms);
+    let nvars = rng.gen_range(1..=5u32);
+    let term = |rng: &mut StdRng| -> Term {
+        let v = Term::var(format!("V{}", rng.gen_range(0..nvars)));
+        match rng.gen_range(0..20) {
+            0..=2 => Term::int(rng.gen_range(0..3)),
+            3..=5 => Term::app("f", vec![v]),
+            6..=8 => Term::app("g", vec![v]),
+            _ => v,
+        }
+    };
+    let subgoals: Vec<Atom> = (0..natoms)
+        .map(|_| match rng.gen_range(0..3) {
+            2 => Atom::new("p2", vec![term(rng)]),
+            p => Atom::new(format!("p{p}"), vec![term(rng), term(rng)]),
+        })
+        .collect();
+    ConjunctiveQuery::new(
+        random_head(rng, &subgoals, head_arity),
+        subgoals,
+        Vec::new(),
+    )
+}
+
+/// A head `q(...)` of `arity` variables drawn from `body` (the constant 0
+/// when the body has no variables).
+fn random_head(rng: &mut StdRng, body: &[Atom], arity: usize) -> Atom {
+    let body_vars: Vec<_> = body.iter().flat_map(|a| a.vars()).collect();
+    let args = (0..arity)
+        .map(|_| match body_vars.len() {
+            0 => Term::int(0),
+            n => Term::Var(body_vars[rng.gen_range(0..n)]),
+        })
+        .collect();
+    Atom::new("q", args)
+}
+
+/// A query that contains `q`: a random nonempty subset of `q`'s subgoals
+/// under `q`'s head, with some non-head variable arguments generalized to
+/// fresh variables. Falls back to `q` itself when the subset would leave a
+/// head variable unbound.
+fn weakening(rng: &mut StdRng, q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let head_vars = q.head.vars();
+    let mut fresh = 0;
+    let mut subgoals: Vec<Atom> = Vec::new();
+    for a in &q.subgoals {
+        if !rng.gen_bool(0.6) {
+            continue;
+        }
+        let mut g = a.clone();
+        for t in &mut g.args {
+            if matches!(t, Term::Var(v) if !head_vars.contains(v)) && rng.gen_bool(0.3) {
+                fresh += 1;
+                *t = Term::var(format!("W{fresh}"));
+            }
+        }
+        subgoals.push(g);
+    }
+    let bound: Vec<_> = subgoals.iter().flat_map(|a| a.vars()).collect();
+    if subgoals.is_empty() || !head_vars.iter().all(|v| bound.contains(v)) {
+        return q.clone();
+    }
+    ConjunctiveQuery::new(q.head.clone(), subgoals, Vec::new())
+}
+
+/// The canonical-database oracle: is the frozen head of `d` an answer of
+/// the union `u` evaluated over `freeze(d)`?
+fn frozen_head_answered(d: &ConjunctiveQuery, u: &[ConjunctiveQuery]) -> bool {
+    let frozen = freeze(d);
+    let prog = Program::new(u.iter().map(ConjunctiveQuery::to_rule).collect());
+    let rel = answers(&prog, &frozen.database, &s("q"), &EvalOptions::default()).unwrap();
+    rel.contains(&frozen.head)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn cq_containment_matches_canonical_database(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let q1 = arbitrary_cq(&mut rng, 3);
-        let mut q2 = arbitrary_cq(&mut rng, 3);
-        // Same head arity required for containment to be meaningful. An
-        // all-constant q2 body gets a constant head instead.
-        let q2_vars: Vec<_> = q2.subgoals.iter().flat_map(|a| a.vars()).collect();
-        q2.head = Atom::new("q", q1.head.args.iter().map(|_| {
-            match q2_vars.first() {
-                Some(v) => Term::Var(*v),
-                None => Term::int(0),
+        let arity = rng.gen_range(0..=2);
+        // CQ: q1 ⊆ q2 iff the frozen head of q1 ∈ q2(freeze(q1)).
+        let q1 = oracle_cq(&mut rng, 6, arity);
+        // The container is a weakening of q1, q1's body under a redrawn
+        // head (the body maps, the head may not), or unrelated.
+        let q2 = match rng.gen_range(0..3) {
+            0 => weakening(&mut rng, &q1),
+            1 => {
+                let head = random_head(&mut rng, &q1.subgoals, arity);
+                ConjunctiveQuery::new(head, q1.subgoals.clone(), Vec::new())
             }
-        }).collect());
+            _ => oracle_cq(&mut rng, 6, arity),
+        };
+        let via_canon = frozen_head_answered(&q1, std::slice::from_ref(&q2));
+        prop_assert_eq!(cq_contained(&q1, &q2), via_canon, "q1: {} q2: {}", q1, q2);
 
-        let via_hom = cq_contained(&q1, &q2);
-        // Canonical database: q1 ⊆ q2 iff frozen head of q1 ∈ q2(freeze(q1)).
-        let frozen = freeze(&q1);
-        let prog = Program::new(vec![q2.to_rule()]);
-        let rel = answers(&prog, &frozen.database, &s("q"), &EvalOptions::default()).unwrap();
-        let via_canon = rel.contains(&frozen.head);
-        prop_assert_eq!(via_hom, via_canon, "q1: {} q2: {}", q1, q2);
+        // UCQ (Sagiv–Yannakakis): u1 ⊆ u2 iff every disjunct's frozen head
+        // is an answer of the whole union u2 on that disjunct's canonical
+        // database.
+        let u1: Vec<_> = (0..rng.gen_range(1..=3)).map(|_| oracle_cq(&mut rng, 4, arity)).collect();
+        let mut u2: Vec<_> = (0..rng.gen_range(1..=2)).map(|_| oracle_cq(&mut rng, 4, arity)).collect();
+        for d in &u1 {
+            if rng.gen_bool(0.6) {
+                u2.push(weakening(&mut rng, d));
+            }
+        }
+        let via_canon = u1.iter().all(|d| frozen_head_answered(d, &u2));
+        let (u1, u2) = (Ucq::new(u1).unwrap(), Ucq::new(u2).unwrap());
+        prop_assert_eq!(ucq_contained(&u1, &u2), via_canon, "u1: {} u2: {}", u1, u2);
     }
 
     #[test]
